@@ -2,8 +2,9 @@
 
    Six ways to drive the same Estimate sink over the same edge stream:
      per-edge      Stream_source.iter + Sink.feed        (the old ingestion path)
-     batched       Pipeline.feed_all — chunked ingestion through the
-                   chunk-deduplicated plan path (Chunk_plan + feed_planned)
+     batched       Pipeline.feed_all_parallel ~domains:1 — chunked
+                   ingestion through the chunk-deduplicated plan path
+                   (Chunk_plan + feed_planned) on the calling domain
      parallel      Pipeline.feed_all_parallel over Estimate.shards through
                    the persistent pool (static cost-hint packing)
      parallel-4    the same at 4 domains with the adaptive scheduler —
@@ -90,7 +91,9 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed () =
       time_ingest "per-edge" (fun () ->
           Mkc_stream.Stream_source.iter (E.feed e_seq) src);
       time_ingest "batched" (fun () ->
-          Mkc_stream.Pipeline.feed_all [| Mkc_stream.Sink.pack E.sink e_batch |] src);
+          Mkc_stream.Pipeline.feed_all_parallel ~domains:1
+            [| Mkc_stream.Sink.pack E.sink e_batch |]
+            src);
       time_ingest "parallel" (fun () ->
           Mkc_stream.Pipeline.feed_all_parallel ~domains
             ~schedule:Mkc_stream.Pipeline.Static ~costs:(E.shard_costs e_par)
@@ -133,7 +136,8 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed () =
         T.Recorder.sample recorder ~at_edges:at);
     let any = Mkc_stream.Sink.pack sm ob in
     let _, dt =
-      time_ingest "telemetry" (fun () -> Mkc_stream.Pipeline.feed_all [| any |] src)
+      time_ingest "telemetry" (fun () ->
+          Mkc_stream.Pipeline.feed_all_parallel ~domains:1 [| any |] src)
     in
     let r = E.finalize e in
     Mkc_stream.Sink.Observed.sample ob;
@@ -150,7 +154,9 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed () =
     let e = fresh () in
     let _, dt =
       time_ingest "batched" (fun () ->
-          Mkc_stream.Pipeline.feed_all [| Mkc_stream.Sink.pack E.sink e |] src)
+          Mkc_stream.Pipeline.feed_all_parallel ~domains:1
+            [| Mkc_stream.Sink.pack E.sink e |]
+            src)
     in
     (dt, outcome_fingerprint (E.finalize e))
   in
@@ -206,7 +212,8 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed () =
   let sm, ob = Mkc_stream.Sink.Observed.observe ~cadence:65536 ~budget E.sink e_obs in
   let obs_any = Mkc_stream.Sink.pack sm ob in
   let t_instrumented =
-    time_ingest "instrumented" (fun () -> Mkc_stream.Pipeline.feed_all [| obs_any |] src)
+    time_ingest "instrumented" (fun () ->
+        Mkc_stream.Pipeline.feed_all_parallel ~domains:1 [| obs_any |] src)
   in
   let timings = timings @ [ t_instrumented ] in
   let draws = draws @ [ (fst t_instrumented, [ snd t_instrumented ]) ] in

@@ -123,40 +123,38 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~max_edges () =
           reduced ))
       (List.combine zs reductions)
   in
-  time_alloc
-    (Printf.sprintf "large_common (%d inst)" instances)
-    ~edges:nedges
-    (fun () ->
-      List.iter
-        (fun (lc, _, _, reduced) ->
-          Mkc_core.Large_common.feed_batch lc reduced ~pos:0 ~len:nedges)
-        comps);
-  time_alloc
-    (Printf.sprintf "large_set (%d inst)" instances)
-    ~edges:nedges
-    (fun () ->
-      List.iter
-        (fun (_, ls, _, reduced) ->
-          Mkc_core.Large_set.feed_batch ls reduced ~pos:0 ~len:nedges)
-        comps);
-  time_alloc
-    (Printf.sprintf "small_set (%d inst)" instances)
-    ~edges:nedges
-    (fun () ->
-      List.iter
-        (fun (_, _, ss, reduced) ->
-          Mkc_core.Small_set.feed_batch ss reduced ~pos:0 ~len:nedges)
-        comps);
-  (* planned (chunk-deduplicated) path: the batched pipeline's actual
-     drive — hash decisions once per distinct id per chunk, then O(1)
-     table replays.  Fresh components: pruning history must not carry
-     over from the per-edge rows above. *)
+  (* Each subroutine fed its own reduced stream through [feed_planned],
+     chunk by chunk: the plan is built over the reduced edges (inside
+     the timed row) and the identity table plays [red]. *)
   let chunk = 8192 in
   let nchunks = (nedges + chunk - 1) / chunk in
   let bounds ci =
     let p = ci * chunk in
     (p, min chunk (nedges - p))
   in
+  let scratch_plan = Mkc_stream.Chunk_plan.create () in
+  let reduced_row name f =
+    time_alloc
+      (Printf.sprintf "%s (%d inst)" name instances)
+      ~edges:nedges
+      (fun () ->
+        List.iter
+          (fun ((_, _, _, reduced) as comp) ->
+            for ci = 0 to nchunks - 1 do
+              let pos, len = bounds ci in
+              Mkc_stream.Chunk_plan.build scratch_plan reduced ~pos ~len;
+              f comp scratch_plan ~red:(Mkc_stream.Chunk_plan.elts scratch_plan) reduced
+                ~pos ~len
+            done)
+          comps)
+  in
+  reduced_row "large_common" (fun (lc, _, _, _) -> Mkc_core.Large_common.feed_planned lc);
+  reduced_row "large_set" (fun (_, ls, _, _) -> Mkc_core.Large_set.feed_planned ls);
+  reduced_row "small_set" (fun (_, _, ss, _) -> Mkc_core.Small_set.feed_planned ss);
+  (* planned (chunk-deduplicated) path: the batched pipeline's actual
+     drive — hash decisions once per distinct id per chunk, then O(1)
+     table replays.  Fresh components: pruning history must not carry
+     over from the reduced-stream rows above. *)
   let plans = Array.init nchunks (fun _ -> Mkc_stream.Chunk_plan.create ()) in
   time_alloc
     (Printf.sprintf "plan build (%d chunks)" nchunks)

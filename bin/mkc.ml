@@ -279,6 +279,40 @@ let progress_reporter ~total interval_s =
         (if dt > 0.0 then float_of_int edges /. dt else 0.0)
     end
 
+(* A single-domain sink packed for a drive, tapped for [--progress]
+   when [notify] is given, with the finalizer that goes with it. *)
+let packed (type s r) ?notify ((module M) as m : (s, r) Mkc_stream.Sink.sink) (st : s) =
+  match notify with
+  | None -> (Mkc_stream.Sink.pack m st, fun () -> M.finalize st)
+  | Some notify ->
+      let ((module T) as tm), tp = Mkc_stream.Sink.Tap.tap m st ~notify in
+      (Mkc_stream.Sink.pack tm tp, fun () -> T.finalize tp)
+
+(* Per-shard observers for a pooled [--metrics] run: each shard keeps
+   its own profile, named [shard<i>].  Budgets are single-domain
+   mutable state, so none is shared across the wrappers; callers check
+   the total word count once at finalize, after running [samples]. *)
+let observe_shards ~cadence ~profiles ~samples shards =
+  Array.mapi
+    (fun i s ->
+      let ob = Mkc_stream.Sink.Observed.observe_any ~cadence s in
+      profiles := (Printf.sprintf "shard%d" i, ob.Mkc_stream.Sink.Observed.oprofile) :: !profiles;
+      samples := ob.Mkc_stream.Sink.Observed.osample :: !samples;
+      ob.Mkc_stream.Sink.Observed.osink)
+    shards
+
+(* [--progress] reports single-domain, non-checkpoint drives only. *)
+let progress_notify ~total ~domains ~checkpointing interval =
+  match interval with
+  | None -> None
+  | Some _ when checkpointing ->
+      Format.eprintf "mkc: --progress is not reported in checkpoint mode; ignoring@.";
+      None
+  | Some _ when domains > 1 ->
+      Format.eprintf "mkc: --progress is only reported with --domains 1; ignoring@.";
+      None
+  | Some sec -> Some (progress_reporter ~total sec)
+
 (* ---------- telemetry plumbing ---------- *)
 
 type telem_opts = { tfile : string option; thealth : string list; ttop : bool }
@@ -769,35 +803,30 @@ let estimate_windowed ~path ~src ~m ~n ~k ~alpha ~seed ~profile ~schedule ~chunk
     else None
   in
   let total = Mkc_stream.Stream_source.length src in
-  let notify = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
+  let notify = progress_notify ~total ~domains:1 ~checkpointing:false oopts.progress in
   let profiles = ref [] in
   let rig = ref None in
   let run () =
-    if want || tracing || budget <> None || telemetry_on then begin
-      let sm, ob =
-        Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence ?budget
-          Mkc_core.Windowed.sink est
-      in
-      if want then profiles := [ ("estimate", Mkc_stream.Sink.Observed.profile ob) ];
-      if telemetry_on then
-        rig :=
-          Some
-            (setup_telemetry topts
-               ?budget_words:(Option.map Mkc_sketch.Space.Budget.budget budget)
-               ob
-               (fun ~breakdown -> Mkc_core.Telemetry_probes.build_windowed ~breakdown est));
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap sm ob ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk sm ob src
-    end
-    else
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap Mkc_core.Windowed.sink est ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk Mkc_core.Windowed.sink est src
+    let sink, finalize =
+      if want || tracing || budget <> None || telemetry_on then begin
+        let sm, ob =
+          Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence ?budget
+            Mkc_core.Windowed.sink est
+        in
+        if want then profiles := [ ("estimate", Mkc_stream.Sink.Observed.profile ob) ];
+        if telemetry_on then
+          rig :=
+            Some
+              (setup_telemetry topts
+                 ?budget_words:(Option.map Mkc_sketch.Space.Budget.budget budget)
+                 ob
+                 (fun ~breakdown -> Mkc_core.Telemetry_probes.build_windowed ~breakdown est));
+        packed ?notify sm ob
+      end
+      else packed ?notify Mkc_core.Windowed.sink est
+    in
+    Mkc_stream.Pipeline.feed_all_parallel ~domains:1 ~chunk [| sink |] src;
+    finalize ()
   in
   let run_t0 = Mkc_obs.Clock.now_ns () in
   let r =
@@ -887,7 +916,10 @@ let estimate path k alpha seed profile domains schedule chunk oopts topts budget
     else None
   in
   let total = Mkc_stream.Stream_source.length src in
-  let notify = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
+  let notify =
+    progress_notify ~total ~domains ~checkpointing:(ckpt <> None || resume <> None)
+      oopts.progress
+  in
   let profiles = ref [] in
   let rig = ref None in
   let attach ob =
@@ -900,120 +932,54 @@ let estimate path k alpha seed profile domains schedule chunk oopts topts budget
              (fun ~breakdown -> Mkc_core.Telemetry_probes.build ~breakdown est))
   in
   let run () =
-    if (ckpt <> None || resume <> None) && domains > 1 then begin
-      (* Pool-backed checkpoint/resume: saves land on chunk-window
-         boundaries (chunk × domains edges), where every worker is
-         quiescent.  Shards are re-derived from the restored estimator,
-         so a resumed run matches the uninterrupted one bit for bit. *)
-      Option.iter
-        (fun _ -> Format.eprintf "mkc: --progress is not reported in checkpoint mode; ignoring@.")
-        notify;
-      let codec = Mkc_core.Estimate.codec params in
-      let final_samples = ref [] in
-      let wrap_shards st =
-        let shards = Mkc_core.Estimate.shards st in
-        if not want then shards
-        else
-          Array.mapi
-            (fun i s ->
-              let ob = Mkc_stream.Sink.Observed.observe_any ~cadence:oopts.cadence s in
-              profiles := (Printf.sprintf "shard%d" i, ob.Mkc_stream.Sink.Observed.oprofile) :: !profiles;
-              final_samples := ob.Mkc_stream.Sink.Observed.osample :: !final_samples;
-              ob.Mkc_stream.Sink.Observed.osink)
-            shards
-      in
-      let out =
-        Mkc_stream.Pipeline.run_parallel_resumable ~domains ~schedule
-          ~costs:(Mkc_core.Estimate.shard_costs est) ~chunk ~every ?resume
-          ?checkpoint:ckpt codec est ~shards:wrap_shards
-          ~finalize:(fun st ->
-            List.iter (fun sample -> sample ()) !final_samples;
+    let codec = Mkc_core.Estimate.codec params in
+    let shards, finalize, on_save =
+      if domains > 1 then begin
+        let samples = ref [] in
+        ( (fun st ->
+            let shards = Mkc_core.Estimate.shards st in
+            if want then observe_shards ~cadence:oopts.cadence ~profiles ~samples shards
+            else shards),
+          (fun st ->
+            List.iter (fun sample -> sample ()) !samples;
             (match budget with
             | Some b -> Mkc_sketch.Space.Budget.observe b (Mkc_core.Estimate.words st)
             | None -> ());
-            Mkc_core.Estimate.finalize st)
-          src
-      in
-      match out with Ok r -> r | Error e -> ckpt_error_exit "checkpoint" e
-    end
-    else if ckpt <> None || resume <> None then begin
-      Option.iter
-        (fun _ -> Format.eprintf "mkc: --progress is not reported in checkpoint mode; ignoring@.")
-        notify;
-      let codec = Mkc_core.Estimate.codec params in
-      let out =
-        if want || tracing || budget <> None || telemetry_on then begin
-          let sm, ob =
-            Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence ?budget
-              Mkc_core.Estimate.sink est
-          in
-          if want then profiles := [ ("estimate", Mkc_stream.Sink.Observed.profile ob) ];
-          attach ob;
-          (* Aim the codec at the inner sink and put each save's bytes on
-             the space books — a held checkpoint is real space. *)
-          let codec = Mkc_stream.Checkpoint.map_codec Mkc_stream.Sink.Observed.state codec in
-          let on_save ~pos:_ ~bytes:_ ~words =
-            Mkc_stream.Sink.Observed.note_checkpoint ob ~words
-          in
-          Mkc_stream.Pipeline.run_resumable ~chunk ~every ?resume ?checkpoint:ckpt ~on_save
-            codec sm ob src
-        end
-        else
-          Mkc_stream.Pipeline.run_resumable ~chunk ~every ?resume ?checkpoint:ckpt codec
-            Mkc_core.Estimate.sink est src
-      in
-      match out with Ok r -> r | Error e -> ckpt_error_exit "checkpoint" e
-    end
-    else if domains > 1 then begin
-      Option.iter
-        (fun _ ->
-          Format.eprintf "mkc: --progress is only reported with --domains 1; ignoring@.")
-        notify;
-      let shards = Mkc_core.Estimate.shards est in
-      let final_samples = ref [] in
-      let shards =
-        if not want then shards
-        else
-          (* Budgets are single-domain mutable state: never share one
-             across per-shard wrappers.  The watchdog instead checks the
-             total word count once at finalize. *)
-          Array.mapi
-            (fun i s ->
-              let ob = Mkc_stream.Sink.Observed.observe_any ~cadence:oopts.cadence s in
-              profiles := (Printf.sprintf "shard%d" i, ob.Mkc_stream.Sink.Observed.oprofile) :: !profiles;
-              final_samples := ob.Mkc_stream.Sink.Observed.osample :: !final_samples;
-              ob.Mkc_stream.Sink.Observed.osink)
-            shards
-      in
-      Mkc_stream.Pipeline.run_parallel ~domains ~schedule
-        ~costs:(Mkc_core.Estimate.shard_costs est) ~chunk ~shards
-        ~finalize:(fun () ->
-          List.iter (fun sample -> sample ()) !final_samples;
-          (match budget with
-          | Some b -> Mkc_sketch.Space.Budget.observe b (Mkc_core.Estimate.words est)
-          | None -> ());
-          Mkc_core.Estimate.finalize est)
-        src
-    end
-    else if want || tracing || budget <> None || telemetry_on then begin
-      let sm, ob =
-        Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence ?budget
-          Mkc_core.Estimate.sink est
-      in
-      if want then profiles := [ ("estimate", Mkc_stream.Sink.Observed.profile ob) ];
-      attach ob;
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap sm ob ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk sm ob src
-    end
-    else
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap Mkc_core.Estimate.sink est ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk Mkc_core.Estimate.sink est src
+            Mkc_core.Estimate.finalize st),
+          None )
+      end
+      else begin
+        let (sink, finalize), on_save =
+          if want || tracing || budget <> None || telemetry_on then begin
+            let sm, ob =
+              Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence ?budget
+                Mkc_core.Estimate.sink est
+            in
+            if want then profiles := [ ("estimate", Mkc_stream.Sink.Observed.profile ob) ];
+            attach ob;
+            (* A held checkpoint is real space: each save's bytes go on
+               the space books. *)
+            ( packed ?notify sm ob,
+              Some
+                (fun ~pos:_ ~bytes:_ ~words ->
+                  Mkc_stream.Sink.Observed.note_checkpoint ob ~words) )
+          end
+          else (packed ?notify Mkc_core.Estimate.sink est, None)
+        in
+        ((fun _ -> [| sink |]), (fun _ -> finalize ()), on_save)
+      end
+    in
+    (* Saves land on chunk-window boundaries (chunk × domains edges),
+       where every worker is quiescent; shards are derived from the
+       restored estimator, so a resumed run matches the uninterrupted
+       one bit for bit. *)
+    match
+      Mkc_stream.Pipeline.run_resumable ~domains ~schedule
+        ~costs:(Mkc_core.Estimate.shard_costs est) ~chunk ~every ?resume ?checkpoint:ckpt
+        ?on_save codec est ~shards ~finalize src
+    with
+    | Ok r -> r
+    | Error e -> ckpt_error_exit "checkpoint" e
   in
   let run_t0 = Mkc_obs.Clock.now_ns () in
   let r =
@@ -1115,52 +1081,37 @@ let report path k alpha seed profile domains schedule chunk oopts ledger window 
   if want || ledger <> None then Mkc_obs.Registry.set_enabled true;
   if tracing then Mkc_obs.Trace.set_enabled true;
   let total = Mkc_stream.Stream_source.length src in
-  let notify = Option.map (fun sec -> progress_reporter ~total sec) oopts.progress in
+  let notify = progress_notify ~total ~domains ~checkpointing:false oopts.progress in
   let profiles = ref [] in
   let run_t0 = Mkc_obs.Clock.now_ns () in
   let r =
-    if domains > 1 then begin
-      Option.iter
-        (fun _ ->
-          Format.eprintf "mkc: --progress is only reported with --domains 1; ignoring@.")
-        notify;
-      let shards = Mkc_core.Report.shards rep in
-      let final_samples = ref [] in
-      let shards =
-        if not want then shards
-        else
-          Array.mapi
-            (fun i s ->
-              let ob = Mkc_stream.Sink.Observed.observe_any ~cadence:oopts.cadence s in
-              profiles := (Printf.sprintf "shard%d" i, ob.Mkc_stream.Sink.Observed.oprofile) :: !profiles;
-              final_samples := ob.Mkc_stream.Sink.Observed.osample :: !final_samples;
-              ob.Mkc_stream.Sink.Observed.osink)
-            shards
-      in
-      Mkc_stream.Pipeline.run_parallel ~domains ~schedule
-        ~costs:(Mkc_core.Report.shard_costs rep) ~chunk ~shards
-        ~finalize:(fun () ->
-          List.iter (fun sample -> sample ()) !final_samples;
-          Mkc_core.Report.finalize rep)
-        src
-    end
-    else if want || tracing then begin
-      let sm, ob =
-        Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence Mkc_core.Report.sink rep
-      in
-      if want then profiles := [ ("report", Mkc_stream.Sink.Observed.profile ob) ];
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap sm ob ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk sm ob src
-    end
-    else
-      match notify with
-      | Some notify ->
-          let tm, tp = Mkc_stream.Sink.Tap.tap Mkc_core.Report.sink rep ~notify in
-          Mkc_stream.Pipeline.run ~chunk tm tp src
-      | None -> Mkc_stream.Pipeline.run ~chunk Mkc_core.Report.sink rep src
+    let shards, finalize =
+      if domains > 1 then begin
+        let samples = ref [] in
+        let shards = Mkc_core.Report.shards rep in
+        ( (if want then observe_shards ~cadence:oopts.cadence ~profiles ~samples shards
+           else shards),
+          fun () ->
+            List.iter (fun sample -> sample ()) !samples;
+            Mkc_core.Report.finalize rep )
+      end
+      else begin
+        let sink, finalize =
+          if want || tracing then begin
+            let sm, ob =
+              Mkc_stream.Sink.Observed.observe ~cadence:oopts.cadence Mkc_core.Report.sink rep
+            in
+            if want then profiles := [ ("report", Mkc_stream.Sink.Observed.profile ob) ];
+            packed ?notify sm ob
+          end
+          else packed ?notify Mkc_core.Report.sink rep
+        in
+        ([| sink |], finalize)
+      end
+    in
+    Mkc_stream.Pipeline.feed_all_parallel ~domains ~schedule
+      ~costs:(Mkc_core.Report.shard_costs rep) ~chunk shards src;
+    finalize ()
   in
   let run_wall_ns = Mkc_obs.Clock.now_ns () - run_t0 in
   Format.printf "estimated coverage: %.0f@." r.Mkc_core.Report.estimate;

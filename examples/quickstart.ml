@@ -38,12 +38,8 @@ let () =
      Same pipeline, different sink — here sharded across two domains
      (the result is identical to a sequential run by construction). *)
   let rep = Mkc_core.Report.create params in
-  let sol =
-    Mkc_stream.Pipeline.run_parallel ~domains:2
-      ~shards:(Mkc_core.Report.shards rep)
-      ~finalize:(fun () -> Mkc_core.Report.finalize rep)
-      src
-  in
+  Mkc_stream.Pipeline.feed_all_parallel ~domains:2 (Mkc_core.Report.shards rep) src;
+  let sol = Mkc_core.Report.finalize rep in
   let cov = Ss.coverage sys sol.Mkc_core.Report.sets in
   Format.printf "@.reported %d sets with true coverage %d@."
     (List.length sol.Mkc_core.Report.sets)

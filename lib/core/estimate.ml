@@ -18,7 +18,6 @@ type t = {
   params : Params.t;
   body : body;
   mutable red : int array; (* distinct-element reduction buffer, reused per chunk *)
-  own_plan : Mkc_stream.Chunk_plan.t; (* for feed_batch callers with no shared plan *)
   mutable finals : final list; (* populated by [finalize], newest wins *)
 }
 
@@ -71,7 +70,7 @@ let create (p : Params.t) =
       Run { insts }
     end
   in
-  { params = p; body; red = [||]; own_plan = Mkc_stream.Chunk_plan.create (); finals = [] }
+  { params = p; body; red = [||]; finals = [] }
 
 let feed t e =
   match t.body with
@@ -110,13 +109,6 @@ let feed_planned t plan edges ~pos ~len =
             Mkc_obs.Span.record inst.span_name ~start_ns:t0
               ~dur_ns:(Mkc_obs.Clock.now_ns () - t0))
         insts
-
-let feed_batch t edges ~pos ~len =
-  match t.body with
-  | Trivial _ -> ()
-  | Run _ ->
-      Mkc_stream.Chunk_plan.build t.own_plan edges ~pos ~len;
-      feed_planned t t.own_plan edges ~pos ~len
 
 let finalize t =
   match t.body with
@@ -355,7 +347,6 @@ let sink : (t, result) Mkc_stream.Sink.sink =
     type nonrec result = result
 
     let feed = feed
-    let feed_batch = feed_batch
     let feed_planned = feed_planned
     let finalize = finalize
     let words = words
@@ -364,13 +355,8 @@ let sink : (t, result) Mkc_stream.Sink.sink =
 
 (* One z-guess × repeat instance as an independently driveable sink —
    the unit the parallel pipeline schedules.  Each shard owns a private
-   reduction buffer and plan scratch so shards never share mutable
-   state (plans may not cross domains). *)
-type shard = {
-  inst : inst;
-  mutable shard_red : int array;
-  shard_plan : Mkc_stream.Chunk_plan.t;
-}
+   reduction buffer so shards never share mutable state. *)
+type shard = { inst : inst; mutable shard_red : int array }
 
 let shard_sink : (shard, unit) Mkc_stream.Sink.sink =
   (module struct
@@ -393,10 +379,6 @@ let shard_sink : (shard, unit) Mkc_stream.Sink.sink =
         Mkc_obs.Span.record s.inst.span_name ~start_ns:t0
           ~dur_ns:(Mkc_obs.Clock.now_ns () - t0)
 
-    let feed_batch s edges ~pos ~len =
-      Mkc_stream.Chunk_plan.build s.shard_plan edges ~pos ~len;
-      feed_planned s s.shard_plan edges ~pos ~len
-
     let finalize _ = ()
     let words s = Universe_reduction.words s.inst.reduction + Oracle.words s.inst.oracle
 
@@ -411,8 +393,7 @@ let shards t =
   | Run { insts } ->
       Array.map
         (fun inst ->
-          Mkc_stream.Sink.pack shard_sink
-            { inst; shard_red = [||]; shard_plan = Mkc_stream.Chunk_plan.create () })
+          Mkc_stream.Sink.pack shard_sink { inst; shard_red = [||] })
         insts
 
 (* Per-shard static cost hints, index-aligned with [shards]: the

@@ -22,11 +22,6 @@ type t
 val create : Params.t -> t
 val feed : t -> Mkc_stream.Edge.t -> unit
 
-val feed_batch : t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
-(** Chunked ingestion, equivalent to edge-by-edge {!feed}: builds a
-    private {!Mkc_stream.Chunk_plan} for the slice and delegates to
-    {!feed_planned}. *)
-
 val feed_planned :
   t -> Mkc_stream.Chunk_plan.t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
 (** Chunk-deduplicated ingestion (bit-for-bit ≡ {!feed}): instances are

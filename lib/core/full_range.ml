@@ -29,14 +29,9 @@ let feed t e =
   | Mv mv -> Mkc_coverage.Mcgregor_vu.feed mv e
   | Rep rep -> Report.feed rep e
 
-let feed_batch t edges ~pos ~len =
-  match t.body with
-  | Mv mv -> Mkc_coverage.Mcgregor_vu.feed_batch mv edges ~pos ~len
-  | Rep rep -> Report.feed_batch rep edges ~pos ~len
-
 let feed_planned t plan edges ~pos ~len =
   match t.body with
-  | Mv mv -> Mkc_coverage.Mcgregor_vu.feed_batch mv edges ~pos ~len (* no dedup path *)
+  | Mv mv -> Mkc_coverage.Mcgregor_vu.feed_planned mv plan edges ~pos ~len
   | Rep rep -> Report.feed_planned rep plan edges ~pos ~len
 
 let finalize t =
@@ -105,7 +100,6 @@ let sink : (t, result) Mkc_stream.Sink.sink =
     type nonrec result = result
 
     let feed = feed
-    let feed_batch = feed_batch
     let feed_planned = feed_planned
     let finalize = finalize
     let words = words

@@ -29,9 +29,10 @@ val create : Params.t -> t
 val engine : t -> engine
 val feed : t -> Mkc_stream.Edge.t -> unit
 
-val feed_batch : t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
+val feed_planned :
+  t -> Mkc_stream.Chunk_plan.t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
 (** Chunked ingestion, equivalent to edge-by-edge {!feed} on whichever
-    engine is active. *)
+    engine is active (the constant-factor engine ignores the plan). *)
 
 type result = { estimate : float; sets : int list; engine : engine }
 

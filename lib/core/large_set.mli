@@ -37,10 +37,6 @@ val create : Params.t -> w:int -> seed:Mkc_hashing.Splitmix.t -> t
 
 val feed : t -> Mkc_stream.Edge.t -> unit
 
-val feed_batch : t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
-(** Chunked ingestion, equivalent to edge-by-edge {!feed} (repeats are
-    driven repeat-outer for cache locality). *)
-
 val feed_planned :
   t ->
   Mkc_stream.Chunk_plan.t ->

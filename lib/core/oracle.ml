@@ -29,14 +29,6 @@ let feed t e =
   Large_set.feed t.large_set e;
   Option.iter (fun ss -> Small_set.feed ss e) t.small_set
 
-let feed_batch t edges ~pos ~len =
-  (* Subroutine-outer: each subroutine's sketches stay hot across the
-     whole chunk instead of being revisited on every edge. *)
-  t.st_edges <- t.st_edges + len;
-  Large_common.feed_batch t.large_common edges ~pos ~len;
-  Large_set.feed_batch t.large_set edges ~pos ~len;
-  Option.iter (fun ss -> Small_set.feed_batch ss edges ~pos ~len) t.small_set
-
 let feed_planned t plan ~red edges ~pos ~len =
   (* Chunk-deduplicated ingestion: the shared plan (distinct ids +
      per-edge indices) and the caller's reduced-element table [red] are
@@ -157,7 +149,6 @@ let sink : (t, Solution.outcome option) Mkc_stream.Sink.sink =
     type result = Solution.outcome option
 
     let feed = feed
-    let feed_batch = feed_batch
 
     (* Standalone oracle sink: the stream is unreduced, so the identity
        element table (the plan's own distinct raw values) plays [red]. *)

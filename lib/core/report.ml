@@ -8,7 +8,6 @@ type result = {
 
 let create (p : Params.t) = { k = p.k; engine = Estimate.create p }
 let feed t e = Estimate.feed t.engine e
-let feed_batch t edges ~pos ~len = Estimate.feed_batch t.engine edges ~pos ~len
 
 let feed_planned t plan edges ~pos ~len =
   Estimate.feed_planned t.engine plan edges ~pos ~len
@@ -53,7 +52,6 @@ let sink : (t, result) Mkc_stream.Sink.sink =
     type nonrec result = result
 
     let feed = feed
-    let feed_batch = feed_batch
     let feed_planned = feed_planned
     let finalize = finalize
     let words = words

@@ -25,9 +25,6 @@ type t
 val create : Params.t -> seed:Mkc_hashing.Splitmix.t -> t
 val feed : t -> Mkc_stream.Edge.t -> unit
 
-val feed_batch : t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
-(** Chunked ingestion, equivalent to edge-by-edge {!feed}. *)
-
 val feed_planned :
   t ->
   Mkc_stream.Chunk_plan.t ->

@@ -33,10 +33,11 @@ type t = {
   epsilon : float;
   mutable current : Estimate.t;
   mutable in_epoch : int;
-  ring : Json.t option array; (* encoded epoch states, slot i valid iff Some *)
+  ring : string option array; (* serialized epoch states, slot i valid iff Some *)
   ring_est : float array; (* per-epoch finalized estimates, slot-aligned *)
-  ring_words : int array; (* serialized size of each held payload *)
+  ring_words : int array; (* size of each held payload, in words *)
   mutable head : int; (* next slot to overwrite *)
+  plan : Mkc_stream.Chunk_plan.t; (* per-piece plans of chunks split at a roll *)
   mutable rolled : int;
   mutable champion : float;
   mutable swaps : int;
@@ -66,6 +67,7 @@ let create ?(epsilon = 0.1) ?decay params ~window ~epoch_edges () =
     ring_est = Array.make window 0.0;
     ring_words = Array.make window 0;
     head = 0;
+    plan = Mkc_stream.Chunk_plan.create ();
     rolled = 0;
     champion = 0.0;
     swaps = 0;
@@ -89,16 +91,16 @@ let live_slots t =
   let p = live_epochs t in
   List.init p (fun i -> if t.rolled < t.window then i else (t.head + i) mod t.window)
 
-(* Payload size on the space books: a held epoch checkpoint is real
-   space, same argument as Observed.note_checkpoint. *)
-let payload_words j = (String.length (Json.to_string j) + 7) / 8
-
+(* The ring holds each epoch as its serialized checkpoint text, not as
+   a Json.t tree: the bytes are what the space books charge (a held
+   epoch checkpoint is real space, same argument as
+   Observed.note_checkpoint), and a query parses them back. *)
 let roll t =
   let r = Estimate.finalize t.current in
-  let payload = Estimate.encode t.current in
+  let payload = Json.to_string (Estimate.encode t.current) in
   t.ring.(t.head) <- Some payload;
   t.ring_est.(t.head) <- r.Estimate.estimate;
-  t.ring_words.(t.head) <- payload_words payload;
+  t.ring_words.(t.head) <- (String.length payload + 7) / 8;
   t.head <- (t.head + 1) mod t.window;
   t.rolled <- t.rolled + 1;
   Mkc_obs.Registry.incr t.c_rolled;
@@ -123,21 +125,29 @@ let feed t e =
   t.in_epoch <- t.in_epoch + 1;
   if t.in_epoch >= t.epoch_edges then roll t
 
-(* Chunks are split at epoch boundaries so a batched drive rolls at
+(* Chunks are split at epoch boundaries so a chunked drive rolls at
    exactly the same edge counts as the per-edge one — states stay
-   bit-for-bit equal across driving modes. *)
-let rec feed_batch t edges ~pos ~len =
-  if len > 0 then begin
-    let take = min (t.epoch_edges - t.in_epoch) len in
-    Estimate.feed_batch t.current edges ~pos ~len:take;
-    t.in_epoch <- t.in_epoch + take;
-    if t.in_epoch >= t.epoch_edges then roll t;
-    feed_batch t edges ~pos:(pos + take) ~len:(len - take)
-  end
-
-(* A shared chunk plan indexes the whole chunk; an epoch boundary in
-   the middle would invalidate it, so the planned path re-batches. *)
-let feed_planned t (_ : Mkc_stream.Chunk_plan.t) edges ~pos ~len = feed_batch t edges ~pos ~len
+   bit-for-bit equal across driving modes.  The shared plan indexes the
+   whole chunk, so it serves only a chunk that no roll cuts; each piece
+   of a cut chunk gets its own plan, built into [t.plan]. *)
+let feed_planned t plan edges ~pos ~len =
+  let rec go ~whole pos len =
+    if len > 0 then begin
+      let take = min (t.epoch_edges - t.in_epoch) len in
+      let plan =
+        if whole && take = len then plan
+        else begin
+          Mkc_stream.Chunk_plan.build t.plan edges ~pos ~len:take;
+          t.plan
+        end
+      in
+      Estimate.feed_planned t.current plan edges ~pos ~len:take;
+      t.in_epoch <- t.in_epoch + take;
+      if t.in_epoch >= t.epoch_edges then roll t;
+      go ~whole:false (pos + take) (len - take)
+    end
+  in
+  go ~whole:true pos len
 
 type result = {
   estimate : float;
@@ -161,7 +171,7 @@ let finalize t =
             match t.ring.(s) with
             | None -> ()
             | Some payload -> (
-                match Estimate.of_payload payload with
+                match Result.bind (Json.parse payload) Estimate.of_payload with
                 | Ok e -> Estimate.merge_into ~dst e
                 | Error msg -> invalid_arg ("Windowed.finalize: corrupt epoch state: " ^ msg)))
           (live_slots t);
@@ -208,7 +218,6 @@ let sink : (t, result) Mkc_stream.Sink.sink =
     type nonrec result = result
 
     let feed = feed
-    let feed_batch = feed_batch
     let feed_planned = feed_planned
     let finalize = finalize
     let words = words

@@ -4,9 +4,10 @@
     freshness-weighted queries ("coverage over the recent stream") are
     the other practical face of the same machinery.  This module cuts
     the edge stream into fixed-size epochs, runs a fresh {!Estimate}
-    instance per epoch, and checkpoints each finished epoch's encoded
-    state ({!Estimate.encode}) into a ring of the last [window] epochs.
-    A query merges the held states oldest-first into one estimator by
+    instance per epoch, and checkpoints each finished epoch's state
+    ({!Estimate.encode}, held as JSON text) into a ring of the last
+    [window] epochs.  A query parses and merges the held states
+    oldest-first into one estimator by
     the shard-merge path ({!Estimate.merge_into}) plus the in-flight
     epoch, so the windowed answer is exactly what a fresh single pass
     over the live suffix would produce (L0 and the linear sketches
@@ -50,13 +51,13 @@ val create :
     arguments, by name. *)
 
 val feed : t -> Mkc_stream.Edge.t -> unit
-val feed_batch : t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
-(** Batched feeds split chunks at epoch boundaries, so rolls land at
-    exactly the per-edge drive's edge counts (bit-for-bit equal
-    states across driving modes). *)
-
 val feed_planned :
   t -> Mkc_stream.Chunk_plan.t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
+(** Chunked feeds split at epoch boundaries, so rolls land at exactly
+    the per-edge drive's edge counts (bit-for-bit equal states across
+    driving modes).  The given plan serves a chunk no roll cuts; each
+    piece of a cut chunk is planned afresh into the window's own
+    scratch. *)
 
 type result = {
   estimate : float;  (** windowed (or decayed) coverage estimate *)

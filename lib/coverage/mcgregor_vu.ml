@@ -71,9 +71,10 @@ let feed_guess t g (e : Mkc_stream.Edge.t) =
 
 let feed t e = List.iter (fun g -> feed_guess t g e) t.guesses
 
-let feed_batch t edges ~pos ~len =
-  (* Guess-outer: one guess's sampler and store stay hot across the
-     chunk; per-guess edge order is unchanged. *)
+let feed_planned t (_ : Mkc_stream.Chunk_plan.t) edges ~pos ~len =
+  (* No deduplicated path: the plan is ignored.  Guess-outer instead —
+     one guess's sampler and store stay hot across the chunk; per-guess
+     edge order is unchanged. *)
   let stop = pos + len - 1 in
   List.iter
     (fun g ->
@@ -212,8 +213,7 @@ let sink : (t, result) Mkc_stream.Sink.sink =
     type nonrec result = result
 
     let feed = feed
-    let feed_batch = feed_batch
-    let feed_planned = Mkc_stream.Sink.batch_ignoring_plan feed_batch
+    let feed_planned = feed_planned
     let finalize = finalize
     let words = words
     let words_breakdown t = [ ("mcgregor_vu", words t) ]

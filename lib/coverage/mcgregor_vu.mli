@@ -24,9 +24,11 @@ val create :
 
 val feed : t -> Mkc_stream.Edge.t -> unit
 
-val feed_batch : t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
-(** Chunked ingestion, equivalent to edge-by-edge {!feed} (guesses are
-    driven guess-outer for cache locality). *)
+val feed_planned :
+  t -> Mkc_stream.Chunk_plan.t -> Mkc_stream.Edge.t array -> pos:int -> len:int -> unit
+(** Chunked ingestion, equivalent to edge-by-edge {!feed}.  The plan is
+    ignored (there is no deduplicated path); guesses are driven
+    guess-outer for cache locality. *)
 
 val finalize : t -> result
 (** [coverage] is the scaled estimate of the reported cover's coverage;

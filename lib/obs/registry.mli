@@ -1,6 +1,6 @@
 (** Named metric registry, sharded per domain.
 
-    Ownership mirrors {!Mkc_stream.Pipeline.run_parallel}: every write
+    Ownership mirrors {!Mkc_stream.Pipeline.feed_all_parallel}: every write
     goes to a cell owned by the writing domain (found through
     domain-local storage, created lazily), so the hot path takes no
     lock and shares no mutable cell between domains.  Reads

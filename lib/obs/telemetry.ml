@@ -149,6 +149,13 @@ let parse_directory payload plen =
   else
     let* nt = checked_to_int "track count" (Bytes.get_int64_le payload 8) in
     if nt < 1 then Error (Malformed "directory declares no tracks")
+    else if nt > (plen - 16) / 8 then
+      (* Each track needs at least its 8-byte name length: a count the
+         frame cannot hold is rejected before it sizes an allocation. *)
+      Error
+        (Malformed
+           (Printf.sprintf "directory declares %d tracks, a %d-byte frame holds at most %d"
+              nt plen ((plen - 16) / 8)))
     else begin
       let tracks = Array.make nt "" in
       let rec go i pos =

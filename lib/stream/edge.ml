@@ -12,6 +12,25 @@ let signed ~sign ~set ~elt =
   if sign <> 1 && sign <> -1 then invalid_arg "Edge.signed: sign must be +1 or -1";
   { set; elt; sign }
 
+let net edges =
+  let counts = Hashtbl.create 1024 and order = ref [] in
+  Array.iter
+    (fun e ->
+      let key = (e.set, e.elt) in
+      match Hashtbl.find_opt counts key with
+      | Some c -> c := !c + e.sign
+      | None ->
+          Hashtbl.add counts key (ref e.sign);
+          order := key :: !order)
+    edges;
+  (* [order] is newest-first, so folding it while consing restores
+     first-occurrence order — hash-table layout never leaks. *)
+  List.fold_left
+    (fun acc ((set, elt) as key) ->
+      let c = !(Hashtbl.find counts key) in
+      if c > 0 then ({ set; elt; sign = 1 }, c) :: acc else acc)
+    [] !order
+
 let compare a b =
   let c = Int.compare a.set b.set in
   if c <> 0 then c

@@ -22,6 +22,12 @@ val signed : sign:int -> set:int -> elt:int -> t
 (** A signed update: [~sign:1] inserts, [~sign:(-1)] deletes.  Raises
     [Invalid_argument] on negative ids or a sign outside {+1, -1}. *)
 
+val net : t array -> (t * int) list
+(** The turnstile multiset of a stream: each [(set, elt)] pair whose
+    signed count (insertions minus deletions) is positive, as an
+    insertion edge with that count, in first-occurrence order.  Pairs
+    netting to zero or below drop out. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

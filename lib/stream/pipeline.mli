@@ -1,40 +1,43 @@
 (** Drivers that push an edge stream through {!Sink}s.
 
-    Three ingestion modes, all observationally identical on any fixed
-    set of sinks (same seeds ⇒ bit-for-bit the same results):
+    Two ingestion paths, observationally identical on any fixed set of
+    sinks (same seeds ⇒ bit-for-bit the same results):
 
-    - {!run_seq} — one edge at a time, the literal streaming model;
-    - {!run} / {!feed_all} — batched: the stream is cut into
-      cache-friendly chunks and handed to [feed_batch], paying the
-      per-edge dispatch once per chunk;
-    - {!feed_all_parallel} / {!run_parallel} — batched AND sharded:
+    - {!run_seq} — one edge at a time through {!Sink.S.feed}, the
+      literal streaming model and the reference the equivalence suites
+      compare against;
+    - every other drive — one chunk loop: the stream is cut into
+      cache-friendly windows, one shared {!Chunk_plan} is built per
+      window, and each sink consumes it through {!Sink.S.feed_planned}.
+      {!run} drives one sink; {!feed_all_parallel} drives a fleet of
       mutually independent sinks (e.g. {!Mkc_core.Estimate.shards}'s
-      z-guess × repeat oracle instances) are bin-packed by cost over a
-      persistent {!Pool} of OCaml 5 domains; the coordinator builds one
-      shared read-only {!Chunk_plan} per (widened) chunk window —
-      pipelined one window ahead of the workers — and each worker
-      replays its sink group against it.
+      z-guess × repeat oracle instances), bin-packed by cost over a
+      persistent {!Pool} of OCaml 5 domains when it has more than one
+      slot — then the coordinator builds each window's plan one window
+      ahead of the workers; {!run_resumable} adds checkpoint/resume;
+      {!run_sharded} runs the loop once per contiguous stream shard and
+      merges.
 
-    Determinism of the parallel driver: every sink is owned by exactly
+    Determinism of the pooled drive: every sink is owned by exactly
     one slot per window and sees the full stream in order (windows are
     barriered — workers are awaited before the next window is
     dispatched), and no mutable state is shared between sinks, so the
     final state of each sink — and hence any finalize result — is
-    identical to the sequential drivers', regardless of domain count,
-    scheduling mode, or how shards were packed.  Parallelism and
-    scheduling change wall-clock only, never output.
+    identical to {!run_seq}'s, regardless of domain count, scheduling
+    mode, or how shards were packed.  Parallelism and scheduling change
+    wall-clock only, never output.
 
-    Observability: when {!Mkc_obs.Registry.enabled} is on, the chunked
-    drivers record a [pipeline.chunk] span per chunk, bump the
-    counters [pipeline.chunks], [pipeline.edges] (stream edges) and
+    Observability: when {!Mkc_obs.Registry.enabled} is on, the chunk
+    loop records a [pipeline.chunk] span per window, bumps the counters
+    [pipeline.chunks], [pipeline.edges] (stream edges) and
     [pipeline.sink_feed_edges] (edges × sinks — the feed work actually
-    done), and record each chunk's feed latency into the
+    done), and records each window's feed latency into the
     [pipeline.chunk_feed_ns] histogram (mergeable log-linear buckets;
-    p50/p99 survive shard-merge).  Every driver makes exactly one
-    chunking pass, so the merged totals match across drivers (the
-    parallel one just has fewer, wider chunks).  {!feed_all_parallel}
-    additionally records one [pipeline.domain] span per worker per
-    chunk, the gauges [pipeline.domain_busy_ns] (total worker busy ns)
+    p50/p99 survive shard-merge).  Every drive makes exactly one
+    chunking pass, so the merged totals match across drives (a pooled
+    one just has fewer, wider windows).  With workers, the loop
+    additionally records one [pipeline.domain] span per slot per
+    window, the gauges [pipeline.domain_busy_ns] (total slot busy ns)
     and [pipeline.domains], and the per-window histograms
     [pipeline.pool.plan_build_ns] (chunk-plan construction) and
     [pipeline.pool.queue_wait_ns] (dispatch → pick-up latency, the
@@ -51,20 +54,13 @@ val default_chunk : int
     plan scratch (~6 words/edge) scales with the chunk. *)
 
 val run_seq : ('s, 'r) Sink.sink -> 's -> Stream_source.t -> 'r
-(** Feed edge-by-edge, then finalize.  The reference driver batched
-    modes are tested against. *)
+(** Feed edge-by-edge, then finalize.  The reference drive the chunk
+    loop is tested against. *)
 
 val run : ?chunk:int -> ('s, 'r) Sink.sink -> 's -> Stream_source.t -> 'r
-(** Feed in chunks via [feed_planned] (one {!Chunk_plan} built per
-    chunk, reused across chunks), then finalize. *)
-
-val feed_all : ?chunk:int -> ?start:int -> Sink.any array -> Stream_source.t -> unit
-(** Drive several sinks through one pass, chunk by chunk (all sinks see
-    chunk [i] before any sees chunk [i+1]).  One {!Chunk_plan} is built
-    per chunk and shared by every sink, so the grouping pass is paid
-    once per chunk, not once per sink.  Finalization is the caller's:
-    packed sinks share state with the typed handles used to build
-    them. *)
+(** Feed one sink chunk by chunk via [feed_planned] (one {!Chunk_plan}
+    scratch, rebuilt for each chunk just before it is fed), then
+    finalize. *)
 
 (** {1 The persistent worker-domain pool} *)
 
@@ -134,80 +130,37 @@ val feed_all_parallel :
   Sink.any array ->
   Stream_source.t ->
   unit
-(** Like {!feed_all}, but the sinks are bin-packed (LPT, slot 0 biased
-    by the coordinator's plan-build work) across the slots of a
-    {!Pool} — [pool] if given (with [domains] as an optional cap),
-    else a transient pool of [domains] slots (default
-    [Domain.recommended_domain_count ()]), capped by the number of
-    sinks.  The coordinator windows the stream once at
-    [chunk × slots] edges and pipelines: while the workers replay
-    window [W] against its shared read-only {!Chunk_plan}, the
-    coordinator builds window [W+1]'s plan into the other half of a
-    double-buffered scratch pair, then feeds its own (lighter) sink
-    group and awaits the workers.  Relative to {!feed_all} this pays
-    the same one grouping pass over the stream but makes every
-    per-distinct-id hash decision once per [slots]×-wider window —
-    strictly less hash work, so the driver wins even when the domains
-    time-share a single core.  [costs] (per-sink relative weights,
-    e.g. {!Mkc_core.Estimate.shard_costs}) seeds the packing;
-    [schedule] (default {!Static}) controls whether measured busy-ns
-    re-pack it between windows.  Requires the sinks to be pairwise
-    independent — no shared mutable state — which holds for all shard
-    arrays exposed by this library.  With an effective slot count of 1
-    this is exactly {!feed_all}. *)
+(** Drive several sinks through one pass, window by window (all sinks
+    see window [i] before any sees window [i+1]), sharing one
+    {!Chunk_plan} per window, so the grouping pass is paid once per
+    window, not once per sink.  Finalization is the caller's: packed
+    sinks share state with the typed handles used to build them
+    (e.g. [Estimate.finalize est] after driving [Estimate.shards est]).
 
-val run_parallel :
-  ?pool:Pool.t ->
-  ?domains:int ->
-  ?schedule:schedule ->
-  ?costs:float array ->
-  ?chunk:int ->
-  ?start:int ->
-  shards:Sink.any array ->
-  finalize:(unit -> 'r) ->
-  Stream_source.t ->
-  'r
-(** [run_parallel ~shards ~finalize src]: {!feed_all_parallel} the
-    shards, then call [finalize] (which typically finalizes the typed
-    handle the shards were derived from, e.g.
-    [Estimate.finalize est] after driving [Estimate.shards est]).
-    [start] skips a stream prefix — resume a parallel run by restoring
-    the typed handle from a checkpoint, re-deriving the shards, and
-    driving from the checkpointed position (or use
-    {!run_parallel_resumable}, which does exactly that). *)
+    The sinks are bin-packed (LPT, slot 0 biased by the coordinator's
+    plan-build work) across the slots of a {!Pool} — [pool] if given
+    (with [domains] as an optional cap), else a transient pool of
+    [domains] slots (default [Domain.recommended_domain_count ()]),
+    capped by the number of sinks.  The stream is windowed at
+    [chunk × slots] edges.  With more than one slot the coordinator
+    pipelines: while the workers replay window [W] against its shared
+    read-only plan, it builds window [W+1]'s plan into the other half
+    of a double-buffered scratch pair, then feeds its own (lighter)
+    sink group and awaits the workers — the same one grouping pass over
+    the stream, with every per-distinct-id hash decision made once per
+    [slots]×-wider window.  [costs] (per-sink relative weights, e.g.
+    {!Mkc_core.Estimate.shard_costs}) seeds the packing; [schedule]
+    (default {!Static}) controls whether measured busy-ns re-pack it
+    between windows.  [start] skips a stream prefix.  Requires the
+    sinks to be pairwise independent — no shared mutable state — which
+    holds for all shard arrays exposed by this library.  With one slot
+    every sink is fed on the calling domain and [costs]/[schedule] are
+    unused. *)
 
 val default_checkpoint_every : int
-(** 8 chunks between checkpoints in {!run_resumable}. *)
+(** 8 windows between checkpoints in {!run_resumable}. *)
 
 val run_resumable :
-  ?chunk:int ->
-  ?every:int ->
-  ?resume:string ->
-  ?checkpoint:string ->
-  ?on_save:(pos:int -> bytes:int -> words:int -> unit) ->
-  's Checkpoint.codec ->
-  ('s, 'r) Sink.sink ->
-  's ->
-  Stream_source.t ->
-  ('r, Checkpoint.error) result
-(** The chunked driver with crash tolerance.
-
-    With [~resume:path], first load and fully validate the checkpoint
-    (kind and seed pinned by the codec; any mismatch or corruption is a
-    named {!Checkpoint.error}), overlay it on the freshly created
-    [sink], and continue the stream from the checkpointed position.
-    With [~checkpoint:path], atomically save the sink's state every
-    [every] chunks and once at end-of-stream (so the final file feeds
-    the shard-merge workflow).  [on_save] observes each save — e.g.
-    [Sink.Observed.note_checkpoint] to put the bytes on the space
-    books.
-
-    Checkpoints land on chunk boundaries only, so a resumed run
-    re-chunks the suffix on the same grid as the uninterrupted run —
-    results, [words] and every work counter match bit for bit (the
-    [test_checkpoint] differential harness enforces this). *)
-
-val run_parallel_resumable :
   ?pool:Pool.t ->
   ?domains:int ->
   ?schedule:schedule ->
@@ -223,19 +176,26 @@ val run_parallel_resumable :
   finalize:('s -> 'r) ->
   Stream_source.t ->
   ('r, Checkpoint.error) result
-(** {!run_resumable} over the pool executor: restore [state] from
-    [resume] if given, derive the shard sinks from the (restored)
-    typed state via [shards], drive them through a {!Pool} (same
-    [pool]/[domains]/[schedule]/[costs] contract as
-    {!feed_all_parallel}), saving every [every] chunk WINDOWS
-    ([chunk × slots] edges — the points where all workers are
-    quiescent) and once at end-of-stream, then [finalize state].
+(** {!feed_all_parallel} with crash tolerance, then [finalize state].
 
-    Resuming with the same [chunk] and effective domain count
-    re-windows the suffix on the same grid, so a resumed run matches
-    the uninterrupted one bit for bit — and since the work counters
-    are window-grid-independent, results also match {!run_seq} and the
-    single-domain {!run_resumable} regardless of grid. *)
+    With [~resume:path], first load and fully validate the checkpoint
+    (kind and seed pinned by the codec; any mismatch or corruption is a
+    named {!Checkpoint.error}), restore it into [state], and continue
+    the stream from the checkpointed position.  The sinks are derived
+    from the (restored) typed state by [shards] — a single-sink drive
+    passes [fun s -> [| Sink.pack sink s |]].  With [~checkpoint:path],
+    atomically save [state] every [every] windows ([chunk × slots]
+    edges — the points where all workers are quiescent) and once at
+    end-of-stream (so the final file feeds the shard-merge workflow).
+    [on_save] observes each save — e.g. [Sink.Observed.note_checkpoint]
+    to put the bytes on the space books.  [pool]/[domains]/[schedule]/
+    [costs] are as in {!feed_all_parallel}.
+
+    Resuming with the same [chunk] and effective slot count re-windows
+    the suffix on the same grid, so a resumed run matches the
+    uninterrupted one bit for bit — results, [words] and every work
+    counter (the [test_checkpoint] differential harness enforces this);
+    results also match {!run_seq} regardless of grid. *)
 
 val merge_shards : merge:('s -> 's -> unit) -> 's -> 's array -> 's
 (** [merge_shards ~merge first rest] folds every state in [rest] into

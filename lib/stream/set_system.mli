@@ -14,6 +14,10 @@ val create : n:int -> m:int -> sets:int array array -> t
     removed and entries validated. *)
 
 val of_edges : n:int -> m:int -> Edge.t list -> t
+(** The system a (turnstile) edge stream describes: a pair belongs to
+    its set iff its net count ({!Edge.net}) is positive.  Raises
+    [Invalid_argument] on an out-of-range set or element id. *)
+
 val n : t -> int
 val m : t -> int
 val set : t -> int -> int array

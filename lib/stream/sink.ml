@@ -3,7 +3,6 @@ module type S = sig
   type result
 
   val feed : t -> Edge.t -> unit
-  val feed_batch : t -> Edge.t array -> pos:int -> len:int -> unit
   val feed_planned : t -> Chunk_plan.t -> Edge.t array -> pos:int -> len:int -> unit
   val finalize : t -> result
   val words : t -> int
@@ -17,7 +16,6 @@ let pack m s = Any (m, s)
 
 module Any = struct
   let feed (Any ((module M), s)) e = M.feed s e
-  let feed_batch (Any ((module M), s)) edges ~pos ~len = M.feed_batch s edges ~pos ~len
 
   let feed_planned (Any ((module M), s)) plan edges ~pos ~len =
     M.feed_planned s plan edges ~pos ~len
@@ -25,13 +23,6 @@ module Any = struct
   let words (Any ((module M), s)) = M.words s
   let words_breakdown (Any ((module M), s)) = M.words_breakdown s
 end
-
-let batch_by_feed feed s edges ~pos ~len =
-  for i = pos to pos + len - 1 do
-    feed s edges.(i)
-  done
-
-let batch_ignoring_plan feed_batch s _plan edges ~pos ~len = feed_batch s edges ~pos ~len
 
 (* Canonical form of a words_breakdown: duplicate keys merged by sum,
    sorted by key.  Component keys are dot-namespaced by convention
@@ -77,11 +68,11 @@ module Observed = struct
        already paid for instead of re-walking (and re-flushing) every
        sketch.  Empty until the first sample. *)
     mutable last_bd : (string * int) list;
-    (* Cumulative ns spent inside the inner sink's batch feeds, over the
+    (* Cumulative ns spent inside the inner sink's chunk feeds, over the
        wrapper's whole lifetime — never reset per window, so scheduler
        and [mkc top] signals reading it see a monotone series, not a
-       sawtooth.  Timed around [feed_batch]/[feed_planned] only; the
-       per-edge [feed] path stays clock-free. *)
+       sawtooth.  Timed around [feed_planned] only; the per-edge [feed]
+       path stays clock-free. *)
     mutable busy_ns : int;
   }
 
@@ -151,15 +142,6 @@ module Observed = struct
     M.feed t.state e;
     bump t 1
 
-  let feed_batch (type s r) (t : (s, r) st) edges ~pos ~len =
-    let (module M) = t.inner in
-    let t0 = Mkc_obs.Clock.now_ns () in
-    M.feed_batch t.state edges ~pos ~len;
-    let d = Mkc_obs.Clock.now_ns () - t0 in
-    t.busy_ns <- t.busy_ns + d;
-    Mkc_obs.Registry.record Obs.feed_ns d;
-    bump t len
-
   let feed_planned (type s r) (t : (s, r) st) plan edges ~pos ~len =
     let (module M) = t.inner in
     let t0 = Mkc_obs.Clock.now_ns () in
@@ -192,7 +174,6 @@ module Observed = struct
       type result = r
 
       let feed = feed
-      let feed_batch = feed_batch
       let feed_planned = feed_planned
       let finalize = finalize
       let words = words
@@ -253,11 +234,6 @@ module Tap = struct
         M.feed t.state e;
         bump t 1
 
-      let feed_batch (type s r) (t : (s, r) st) edges ~pos ~len =
-        let (module M) = t.inner in
-        M.feed_batch t.state edges ~pos ~len;
-        bump t len
-
       let feed_planned (type s r) (t : (s, r) st) plan edges ~pos ~len =
         let (module M) = t.inner in
         M.feed_planned t.state plan edges ~pos ~len;
@@ -315,7 +291,13 @@ module Set_arrival = struct
     end;
     push t e.elt
 
-  let feed_batch t edges ~pos ~len = batch_by_feed feed t edges ~pos ~len
+  (* Set-arrival algorithms have no deduplicated path: the plan is
+     ignored and the chunk replayed edge by edge. *)
+  let feed_planned t (_ : Chunk_plan.t) edges ~pos ~len =
+    for i = pos to pos + len - 1 do
+      feed t edges.(i)
+    done
+
   let finalize t =
     flush t;
     t.fin ()
@@ -328,8 +310,7 @@ module Set_arrival = struct
       type result = r
 
       let feed = feed
-      let feed_batch = feed_batch
-      let feed_planned = batch_ignoring_plan feed_batch
+      let feed_planned = feed_planned
       let finalize = finalize
       let words = words
       let words_breakdown t = [ ("set_arrival", words t) ]

@@ -1,13 +1,15 @@
 (** The one streaming interface every single-pass consumer implements.
 
     A sink is created fully parameterized (all randomness fixed by
-    seeds), then driven through the edge stream — one edge at a time
-    ({!S.feed}) or a cache-friendly chunk at a time ({!S.feed_batch}) —
-    and finally collapsed into its result ({!S.finalize}).  The two
-    driving modes are REQUIRED to be observationally equivalent: for
-    any split of the stream into chunks, [feed_batch] must leave the
-    sink in exactly the state that edge-by-edge [feed] would
-    ({!Pipeline} and the test suite rely on this).
+    seeds), then driven through the edge stream — a chunk at a time
+    with a shared {!Chunk_plan} ({!S.feed_planned}, the one ingestion
+    path every {!Pipeline} chunked drive uses) or one edge at a time
+    ({!S.feed}, the literal streaming model that the equivalence
+    suites compare against) — and finally collapsed into its result
+    ({!S.finalize}).  The two are REQUIRED to be observationally
+    equivalent: for any split of the stream into chunks,
+    [feed_planned] must leave the sink in exactly the state that
+    edge-by-edge [feed] would.
 
     Implementations live next to their algorithms (e.g.
     {!Mkc_core.Estimate.sink}); this module only fixes the shape and
@@ -29,19 +31,16 @@ module type S = sig
   val feed : t -> Edge.t -> unit
   (** Consume one edge. *)
 
-  val feed_batch : t -> Edge.t array -> pos:int -> len:int -> unit
-  (** Consume [edges.(pos .. pos+len-1)] in order.  Must be equivalent
-      to [len] successive {!feed} calls; implementations restructure
-      the work (instance-outer loops, hoisted dispatch, batched sketch
-      updates) but never reorder updates to any single structure. *)
-
   val feed_planned : t -> Chunk_plan.t -> Edge.t array -> pos:int -> len:int -> unit
-  (** [feed_batch] with a pre-built {!Chunk_plan} for the same slice.
-      The pipeline builds one plan per chunk and shares it across every
-      sink it drives, so the distinct-id grouping pass is paid once per
-      chunk rather than once per sink.  Must be equivalent to
-      [feed_batch] (and hence to per-edge [feed]); sinks with no
-      deduplicated path ignore the plan ({!batch_ignoring_plan}). *)
+  (** Consume [edges.(pos .. pos+len-1)] in order, given a {!Chunk_plan}
+      built for exactly that slice.  The pipeline builds one plan per
+      chunk and shares it across every sink it drives, so the
+      distinct-id grouping pass is paid once per chunk rather than once
+      per sink.  Must be equivalent to [len] successive {!feed} calls:
+      implementations restructure the work (hash decisions once per
+      distinct id, instance-outer loops) but never reorder updates to
+      any single structure.  Sinks with no deduplicated path ignore the
+      plan. *)
 
   val finalize : t -> result
   (** Collapse the sink.  Sinks are single-shot: feeding after
@@ -68,7 +67,6 @@ val pack : ('s, 'r) sink -> 's -> any
 (** Operations on packed sinks. *)
 module Any : sig
   val feed : any -> Edge.t -> unit
-  val feed_batch : any -> Edge.t array -> pos:int -> len:int -> unit
 
   val feed_planned :
     any -> Chunk_plan.t -> Edge.t array -> pos:int -> len:int -> unit
@@ -76,22 +74,6 @@ module Any : sig
   val words : any -> int
   val words_breakdown : any -> (string * int) list
 end
-
-val batch_by_feed :
-  ('s -> Edge.t -> unit) -> 's -> Edge.t array -> pos:int -> len:int -> unit
-(** Default [feed_batch] for implementations with no batched fast path:
-    a plain loop over [feed]. *)
-
-val batch_ignoring_plan :
-  ('s -> Edge.t array -> pos:int -> len:int -> unit) ->
-  's ->
-  Chunk_plan.t ->
-  Edge.t array ->
-  pos:int ->
-  len:int ->
-  unit
-(** Default {!S.feed_planned} for sinks with no deduplicated path:
-    drop the plan and call the given [feed_batch]. *)
 
 val canonical_breakdown : (string * int) list -> (string * int) list
 (** Canonicalize a {!S.words_breakdown}: duplicate keys merged by sum,
@@ -151,8 +133,8 @@ module Observed : sig
       the inner sink ([Checkpoint.map_codec Observed.state codec]). *)
 
   val busy_ns : ('s, 'r) st -> int
-  (** Cumulative ns spent inside the inner sink's batch feeds
-      ([feed_batch]/[feed_planned]) over the wrapper's whole lifetime —
+  (** Cumulative ns spent inside the inner sink's chunk feeds
+      ([feed_planned]) over the wrapper's whole lifetime —
       monotone, never reset per window, so the adaptive scheduler and
       [mkc top] read a stable signal.  The per-edge [feed] path is not
       timed. *)
@@ -187,7 +169,7 @@ module Observed : sig
 
   val observe_any : ?cadence:int -> ?budget:Mkc_sketch.Space.Budget.t -> any -> observed_any
   (** {!observe} for packed sinks (e.g. each element of
-      {!Mkc_core.Estimate.shards} before {!Pipeline.run_parallel}).
+      {!Mkc_core.Estimate.shards} before {!Pipeline.feed_all_parallel}).
       Sharing one [budget] across several observed shards is only safe
       when they are driven from one domain; the parallel CLI path
       checks the budget once against total words at finalize instead. *)
@@ -227,7 +209,10 @@ module Set_arrival : sig
     'r t
 
   val feed : 'r t -> Edge.t -> unit
-  val feed_batch : 'r t -> Edge.t array -> pos:int -> len:int -> unit
+
+  val feed_planned : 'r t -> Chunk_plan.t -> Edge.t array -> pos:int -> len:int -> unit
+  (** Replays the chunk edge by edge; the plan is ignored. *)
+
   val finalize : 'r t -> 'r
 
   val sink : unit -> ('r t, 'r) sink

@@ -37,28 +37,6 @@ let apply ~frac ~seed edges =
   Array.of_list (List.rev !out)
 
 let live edges =
-  let net = Hashtbl.create (Array.length edges) in
-  Array.iter
-    (fun (e : Edge.t) ->
-      let key = (e.set, e.elt) in
-      let c = Option.value ~default:0 (Hashtbl.find_opt net key) in
-      Hashtbl.replace net key (c + e.sign))
-    edges;
-  let out = ref [] in
-  (* First-occurrence order keeps the result a deterministic function
-     of the input stream (hash-table iteration order never leaks). *)
-  let emitted = Hashtbl.create 64 in
-  Array.iter
-    (fun (e : Edge.t) ->
-      let key = (e.set, e.elt) in
-      if not (Hashtbl.mem emitted key) then begin
-        Hashtbl.add emitted key ();
-        match Hashtbl.find_opt net key with
-        | Some c when c > 0 ->
-            for _ = 1 to c do
-              out := Edge.make ~set:e.set ~elt:e.elt :: !out
-            done
-        | _ -> ()
-      end)
-    edges;
-  Array.of_list (List.rev !out)
+  Mkc_stream.Edge.net edges
+  |> List.concat_map (fun ((e : Edge.t), c) -> List.init c (fun _ -> e))
+  |> Array.of_list

@@ -76,6 +76,9 @@ let invariant_stats est =
           stats ))
     (E.stats est)
 
+(* The shard array of a single-sink resumable drive. *)
+let one sink s = [| Sink.pack sink s |]
+
 let with_tmp f =
   let path = Filename.temp_file "mkc_ckpt" ".json" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
@@ -113,16 +116,16 @@ let prop_crash_resume =
       with_tmp (fun path ->
           let interrupted = E.create p in
           (match
-             Pipe.run_resumable ~chunk ~every:1 ~checkpoint:path (E.codec p) E.sink
-               interrupted
+             Pipe.run_resumable ~chunk ~every:1 ~checkpoint:path (E.codec p) interrupted
+               ~shards:(one E.sink) ~finalize:E.finalize
                (Src.of_array (Array.sub edges 0 cut))
            with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "prefix run: %s" (Ck.error_to_string e));
           let resumed = E.create p in
           match
-            Pipe.run_resumable ~chunk ~resume:path (E.codec p) E.sink resumed
-              (Src.of_array edges)
+            Pipe.run_resumable ~chunk ~resume:path (E.codec p) resumed
+              ~shards:(one E.sink) ~finalize:E.finalize (Src.of_array edges)
           with
           | Error e -> Alcotest.failf "resume: %s" (Ck.error_to_string e)
           | Ok r_res ->
@@ -144,11 +147,8 @@ let prop_crash_resume_parallel =
       let p = params () in
       let wide = chunk * domains in
       let run_parallel_from est start =
-        Pipe.run_parallel ~domains ~chunk
-          ~shards:(E.shards est)
-          ~finalize:(fun () -> E.finalize est)
-          ~start
-          (Src.of_array edges)
+        Pipe.feed_all_parallel ~domains ~chunk ~start (E.shards est) (Src.of_array edges);
+        E.finalize est
       in
       let full = E.create p in
       let r_full = run_parallel_from full 0 in
@@ -394,7 +394,8 @@ let test_payload_rejected () =
       | Error e -> Alcotest.failf "save: %s" (Ck.error_to_string e));
       let fresh = E.create p in
       match
-        Pipe.run_resumable ~resume:path (E.codec p) E.sink fresh
+        Pipe.run_resumable ~resume:path (E.codec p) fresh ~shards:(one E.sink)
+          ~finalize:E.finalize
           (Src.of_array [| Edge.make ~set:0 ~elt:0 |])
       with
       | Error (Ck.Payload_rejected _) -> ()
@@ -437,7 +438,8 @@ let test_final_checkpoint_merges () =
     with_tmp (fun path ->
         let est = E.create p in
         (match
-           Pipe.run_resumable ~chunk:64 ~checkpoint:path (E.codec p) E.sink est part
+           Pipe.run_resumable ~chunk:64 ~checkpoint:path (E.codec p) est
+             ~shards:(one E.sink) ~finalize:E.finalize part
          with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "shard run: %s" (Ck.error_to_string e));

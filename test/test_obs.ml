@@ -271,8 +271,7 @@ let test_observed_cadence_grid () =
     type result = int
 
     let feed t (_ : Edge.t) = incr t
-    let feed_batch t _ ~pos:_ ~len = t := !t + len
-    let feed_planned t _ edges ~pos ~len = feed_batch t edges ~pos ~len
+    let feed_planned t _ _ ~pos:_ ~len = t := !t + len
     let finalize t = !t
     let words t = !t
     let words_breakdown t = [ ("count", !t) ]
@@ -308,7 +307,7 @@ let test_parallel_metrics_equal_seq () =
       let src, params = instance () in
       let est1 = E.create params in
       let b0 = read_feed_edges () in
-      Pipe.feed_all (E.shards est1) src;
+      Pipe.feed_all_parallel ~domains:1 (E.shards est1) src;
       let seq_delta = read_feed_edges () - b0 in
       let est2 = E.create params in
       let b1 = read_feed_edges () in
@@ -771,10 +770,12 @@ let test_midrun_words_exact () =
   let total = Array.length edges in
   let chunk = 97 in
   let batched = E.create params and peredge = E.create params in
+  let plan = Mkc_stream.Chunk_plan.create () in
   let pos = ref 0 in
   while !pos < total do
     let len = min chunk (total - !pos) in
-    E.feed_batch batched edges ~pos:!pos ~len;
+    Mkc_stream.Chunk_plan.build plan edges ~pos:!pos ~len;
+    E.feed_planned batched plan edges ~pos:!pos ~len;
     for i = !pos to !pos + len - 1 do
       E.feed peredge edges.(i)
     done;

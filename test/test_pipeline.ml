@@ -1,7 +1,7 @@
 (* Equivalence tests for the Sink/Pipeline ingestion layer.
 
-   The whole refactor rests on two guarantees:
-     1. feed_batch ≡ edge-by-edge feed (any chunk size), and
+   The whole layer rests on two guarantees:
+     1. feed_planned ≡ edge-by-edge feed (any chunk size), and
      2. domain-parallel shard ingestion ≡ sequential ingestion,
    both bit-for-bit: identical finalized results and identical space
    accounting.  Every sink and every batched sketch is checked. *)
@@ -57,11 +57,8 @@ let test_estimate_parallel_equivalence () =
   List.iter
     (fun domains ->
       let est = E.create params in
-      let r =
-        Pipe.run_parallel ~domains ~shards:(E.shards est)
-          ~finalize:(fun () -> E.finalize est)
-          src
-      in
+      Pipe.feed_all_parallel ~domains (E.shards est) src;
+      let r = E.finalize est in
       checkb (Printf.sprintf "%d domains: bit-for-bit result" domains) true
         (fingerprint r = fingerprint r0);
       checki (Printf.sprintf "%d domains: same words" domains) (E.words est0)
@@ -74,33 +71,37 @@ let test_report_batched_and_parallel () =
   let r0 = Pipe.run_seq R.sink (R.create params) src in
   let r1 = Pipe.run ~chunk:37 R.sink (R.create params) src in
   let rep2 = R.create params in
-  let r2 =
-    Pipe.run_parallel ~domains:2 ~shards:(R.shards rep2)
-      ~finalize:(fun () -> R.finalize rep2)
-      src
-  in
+  Pipe.feed_all_parallel ~domains:2 (R.shards rep2) src;
+  let r2 = R.finalize rep2 in
   checkb "batched: same sets" true (r1.R.sets = r0.R.sets);
   checkb "batched: same estimate" true (r1.R.estimate = r0.R.estimate);
   checkb "parallel: same sets" true (r2.R.sets = r0.R.sets);
   checkb "parallel: same estimate" true (r2.R.estimate = r0.R.estimate)
 
+(* Both Full_range bodies — the constant-factor [Mv] engine (α = 2,
+   which ignores the plan) and the sketching [Rep] engine (α = 8) —
+   chunked at sizes from one edge to one whole-stream chunk. *)
 let test_full_range_sink_both_engines () =
   let src, _ = instance () in
   let module F = Mkc_core.Full_range in
   List.iter
-    (fun alpha ->
+    (fun (alpha, engine) ->
       let p = P.make ~m:128 ~n:512 ~k:4 ~alpha ~seed:3 () in
-      let r0 = Pipe.run_seq F.sink (F.create p) src in
-      let r1 = Pipe.run ~chunk:97 F.sink (F.create p) src in
+      let fr0 = F.create p in
+      checkb (Printf.sprintf "alpha %g: engine" alpha) true (F.engine fr0 = engine);
+      let r0 = Pipe.run_seq F.sink fr0 src in
+      List.iter
+        (fun chunk ->
+          let fr1 = F.create p in
+          let r1 = Pipe.run ~chunk F.sink fr1 src in
+          checkb (Printf.sprintf "alpha %g, chunk %d: result" alpha chunk) true (r1 = r0);
+          checki (Printf.sprintf "alpha %g, chunk %d: words" alpha chunk) (F.words fr0)
+            (F.words fr1))
+        [ 1; 7; 97; Pipe.default_chunk ];
       let fr2 = F.create p in
-      let r2 =
-        Pipe.run_parallel ~domains:2 ~shards:(F.shards fr2)
-          ~finalize:(fun () -> F.finalize fr2)
-          src
-      in
-      checkb (Printf.sprintf "alpha %g: batched" alpha) true (r1 = r0);
-      checkb (Printf.sprintf "alpha %g: parallel" alpha) true (r2 = r0))
-    [ 2.0; 8.0 ]
+      Pipe.feed_all_parallel ~domains:2 (F.shards fr2) src;
+      checkb (Printf.sprintf "alpha %g: parallel" alpha) true (F.finalize fr2 = r0))
+    [ (2.0, F.Constant_factor); (8.0, F.Sketching) ]
 
 (* --- batched sketches --- *)
 
@@ -166,9 +167,13 @@ let test_mcgregor_vu_sink () =
   let mk () = Mv.create ~m:128 ~n:512 ~k:4 ~seed:3 () in
   let a = mk () in
   let ra = Pipe.run_seq Mv.sink a src in
-  let b = mk () in
-  let rb = Pipe.run ~chunk:11 Mv.sink b src in
-  checkb "batched ≡ per-edge" true (ra = rb)
+  List.iter
+    (fun chunk ->
+      let b = mk () in
+      let rb = Pipe.run ~chunk Mv.sink b src in
+      checkb (Printf.sprintf "chunk %d ≡ per-edge" chunk) true (ra = rb);
+      checki (Printf.sprintf "chunk %d: words" chunk) (Mv.words a) (Mv.words b))
+    [ 1; 7; 11; Pipe.default_chunk ]
 
 let baseline_system () =
   Ss.create ~n:12 ~m:4
@@ -222,7 +227,7 @@ let prop_batched_equals_sequential =
         Printf.sprintf "%d edges, chunk %d" (List.length edges) chunk)
       gen
   in
-  QCheck.Test.make ~name:"feed_batch ≡ feed for Estimate (random streams)" ~count:30
+  QCheck.Test.make ~name:"feed_planned ≡ feed for Estimate (random streams)" ~count:30
     arb (fun (pairs, chunk) ->
       let edges =
         Array.of_list (List.map (fun (s, e) -> Edge.make ~set:s ~elt:e) pairs)
@@ -232,11 +237,8 @@ let prop_batched_equals_sequential =
       let r0 = Pipe.run_seq E.sink (E.create params) src in
       let r1 = Pipe.run ~chunk E.sink (E.create params) src in
       let est2 = E.create params in
-      let r2 =
-        Pipe.run_parallel ~domains:2 ~shards:(E.shards est2)
-          ~finalize:(fun () -> E.finalize est2)
-          src
-      in
+      Pipe.feed_all_parallel ~domains:2 (E.shards est2) src;
+      let r2 = E.finalize est2 in
       fingerprint r0 = fingerprint r1 && fingerprint r0 = fingerprint r2)
 
 let suite =

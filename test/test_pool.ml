@@ -1,5 +1,5 @@
 (* Equivalence and lifecycle tests for the persistent domain-pool
-   executor (Pipeline.Pool + run_parallel / run_parallel_resumable).
+   executor (Pipeline.Pool + feed_all_parallel / run_resumable).
 
    The executor's contract is that parallelism, scheduling mode, cost
    hints, pool reuse, and crash-resume change wall-clock only, never
@@ -66,6 +66,13 @@ let assert_matches label ~ref_est ~ref_r est r =
   checkb (label ^ ": same grid-free stats") true
     (grid_free_stats est = grid_free_stats ref_est)
 
+(* A pooled drive of [est]'s shards with its static cost hints, then
+   finalize. *)
+let drive_shards ?pool ?domains ?schedule ?chunk est src =
+  Pipe.feed_all_parallel ?pool ?domains ?schedule ?chunk ~costs:(E.shard_costs est)
+    (E.shards est) src;
+  E.finalize est
+
 (* --- pool drive ≡ run_seq across the domains × chunk matrix --- *)
 
 let test_pool_equiv_matrix () =
@@ -77,12 +84,7 @@ let test_pool_equiv_matrix () =
       List.iter
         (fun chunk ->
           let est = E.create p in
-          let r =
-            Pipe.run_parallel ~domains ~chunk ~costs:(E.shard_costs est)
-              ~shards:(E.shards est)
-              ~finalize:(fun () -> E.finalize est)
-              src
-          in
+          let r = drive_shards ~domains ~chunk est src in
           assert_matches
             (Printf.sprintf "%d domains, chunk %d" domains chunk)
             ~ref_est ~ref_r est r)
@@ -98,12 +100,7 @@ let test_pool_adaptive_equiv () =
       (* small chunk → many windows → the adaptive scheduler actually
          re-packs; output must not move *)
       let est = E.create p in
-      let r =
-        Pipe.run_parallel ~domains ~schedule:Pipe.Adaptive ~chunk:64
-          ~costs:(E.shard_costs est) ~shards:(E.shards est)
-          ~finalize:(fun () -> E.finalize est)
-          src
-      in
+      let r = drive_shards ~domains ~schedule:Pipe.Adaptive ~chunk:64 est src in
       assert_matches
         (Printf.sprintf "adaptive, %d domains" domains)
         ~ref_est ~ref_r est r)
@@ -121,31 +118,16 @@ let test_pool_reuse_and_stats () =
     (fun () ->
       checki "pool size" 3 (Pipe.Pool.size pool);
       let e1 = E.create p in
-      let r1 =
-        Pipe.run_parallel ~pool ~chunk:128 ~costs:(E.shard_costs e1)
-          ~shards:(E.shards e1)
-          ~finalize:(fun () -> E.finalize e1)
-          src
-      in
+      let r1 = drive_shards ~pool ~chunk:128 e1 src in
       let s1 = Pipe.Pool.stats pool in
       (* second drive through the SAME pool, different chunk grid and
          scheduler — workers are reused, not respawned *)
       let e2 = E.create p in
-      let r2 =
-        Pipe.run_parallel ~pool ~chunk:64 ~schedule:Pipe.Adaptive
-          ~costs:(E.shard_costs e2) ~shards:(E.shards e2)
-          ~finalize:(fun () -> E.finalize e2)
-          src
-      in
+      let r2 = drive_shards ~pool ~chunk:64 ~schedule:Pipe.Adaptive e2 src in
       let s2 = Pipe.Pool.stats pool in
       (* a [domains] cap below the pool size also preserves output *)
       let e3 = E.create p in
-      let r3 =
-        Pipe.run_parallel ~pool ~domains:2 ~chunk:128 ~costs:(E.shard_costs e3)
-          ~shards:(E.shards e3)
-          ~finalize:(fun () -> E.finalize e3)
-          src
-      in
+      let r3 = drive_shards ~pool ~domains:2 ~chunk:128 e3 src in
       assert_matches "pooled drive 1" ~ref_est ~ref_r e1 r1;
       assert_matches "pooled drive 2 (adaptive)" ~ref_est ~ref_r e2 r2;
       assert_matches "pooled drive 3 (capped)" ~ref_est ~ref_r e3 r3;
@@ -166,11 +148,7 @@ let test_pool_empty_and_errors () =
   let _, p = instance () in
   let empty = Src.of_array [||] in
   let est = E.create p in
-  let r =
-    Pipe.run_parallel ~domains:2 ~costs:(E.shard_costs est) ~shards:(E.shards est)
-      ~finalize:(fun () -> E.finalize est)
-      empty
-  in
+  let r = drive_shards ~domains:2 est empty in
   let est0 = E.create p in
   let r0 = Pipe.run_seq E.sink est0 empty in
   checkb "empty stream: same result" true (fingerprint r = fingerprint r0);
@@ -196,7 +174,7 @@ let test_pool_resumable () =
   with_tmp (fun path ->
       let e1 = E.create p in
       match
-        Pipe.run_parallel_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
+        Pipe.run_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
           (E.codec p) e1 ~shards:E.shards ~finalize:E.finalize src
       with
       | Error e -> Alcotest.failf "uninterrupted: %s" (Ck.error_to_string e)
@@ -208,7 +186,7 @@ let test_pool_resumable () =
       with_tmp (fun path ->
           let interrupted = E.create p in
           (match
-             Pipe.run_parallel_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
+             Pipe.run_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
                (E.codec p) interrupted ~shards:E.shards ~finalize:E.finalize
                (Src.of_array (Array.sub edges 0 cut))
            with
@@ -216,7 +194,7 @@ let test_pool_resumable () =
           | Error e -> Alcotest.failf "%s prefix: %s" label (Ck.error_to_string e));
           let resumed = E.create p in
           match
-            Pipe.run_parallel_resumable ~domains:2 ~schedule ~chunk ~resume:path
+            Pipe.run_resumable ~domains:2 ~schedule ~chunk ~resume:path
               (E.codec p) resumed ~shards:E.shards ~finalize:E.finalize src
           with
           | Error e -> Alcotest.failf "%s resume: %s" label (Ck.error_to_string e)
@@ -226,6 +204,48 @@ let test_pool_resumable () =
       (min n ((chunk * 2 * 3) + 17), Pipe.Static, "resume off the window grid");
       (chunk * 4, Pipe.Adaptive, "resume under the adaptive scheduler");
     ]
+
+(* A real crash mid-run, through the one resumable driver: the save
+   hook raises once a checkpoint at or past [crash_at] lands, so the
+   file holds the last save before the "crash" — every [every] windows,
+   or the end-of-stream save — and the resumed run finishes from it.
+   domains × every × crash position, each against run_seq. *)
+exception Crash
+
+let test_resumable_crash_matrix () =
+  let src, p = instance () in
+  let n = Src.length src in
+  let ref_est = E.create p in
+  let ref_r = Pipe.run_seq E.sink ref_est src in
+  let chunk = 64 in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun every ->
+          List.iter
+            (fun crash_at ->
+              let label =
+                Printf.sprintf "%d domains, every %d, crash at %d" domains every crash_at
+              in
+              with_tmp (fun path ->
+                  let crashed = E.create p in
+                  let on_save ~pos ~bytes:_ ~words:_ = if pos >= crash_at then raise Crash in
+                  (match
+                     Pipe.run_resumable ~domains ~chunk ~every ~checkpoint:path ~on_save
+                       (E.codec p) crashed ~shards:E.shards ~finalize:E.finalize src
+                   with
+                  | exception Crash -> ()
+                  | _ -> Alcotest.failf "%s: the drive did not crash" label);
+                  let resumed = E.create p in
+                  match
+                    Pipe.run_resumable ~domains ~chunk ~resume:path (E.codec p) resumed
+                      ~shards:E.shards ~finalize:E.finalize src
+                  with
+                  | Error e -> Alcotest.failf "%s: %s" label (Ck.error_to_string e)
+                  | Ok r -> assert_matches label ~ref_est ~ref_r resumed r))
+            [ 1; n / 3; (2 * n) / 3; n ])
+        [ 1; 2; 5 ])
+    [ 1; 2 ]
 
 (* --- property: the matrix law on random streams --- *)
 
@@ -243,7 +263,7 @@ let prop_pool_equals_seq =
       gen
   in
   QCheck.Test.make
-    ~name:"pool run_parallel ≡ run_seq (domains × chunk × schedule, random streams)"
+    ~name:"pool feed_all_parallel ≡ run_seq (domains × chunk × schedule, random streams)"
     ~count:30 arb (fun (pairs, chunk, pick) ->
       let edges =
         Array.of_list (List.map (fun (s, e) -> Edge.make ~set:s ~elt:e) pairs)
@@ -255,12 +275,7 @@ let prop_pool_equals_seq =
       let ref_est = E.create p in
       let r0 = Pipe.run_seq E.sink ref_est src in
       let est = E.create p in
-      let r =
-        Pipe.run_parallel ~domains ~schedule ~chunk ~costs:(E.shard_costs est)
-          ~shards:(E.shards est)
-          ~finalize:(fun () -> E.finalize est)
-          src
-      in
+      let r = drive_shards ~domains ~schedule ~chunk est src in
       fingerprint r = fingerprint r0
       && E.words est = E.words ref_est
       && E.words_breakdown est = E.words_breakdown ref_est
@@ -297,7 +312,7 @@ let prop_pool_crash_resume =
       with_tmp (fun path ->
           let interrupted = E.create p in
           (match
-             Pipe.run_parallel_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
+             Pipe.run_resumable ~domains:2 ~chunk ~every:1 ~checkpoint:path
                (E.codec p) interrupted ~shards:E.shards ~finalize:E.finalize
                (Src.of_array (Array.sub edges 0 cut))
            with
@@ -305,7 +320,7 @@ let prop_pool_crash_resume =
           | Error e -> Alcotest.failf "prefix: %s" (Ck.error_to_string e));
           let resumed = E.create p in
           match
-            Pipe.run_parallel_resumable ~domains:2 ~chunk ~resume:path (E.codec p)
+            Pipe.run_resumable ~domains:2 ~chunk ~resume:path (E.codec p)
               resumed ~shards:E.shards ~finalize:E.finalize src
           with
           | Error e -> Alcotest.failf "resume: %s" (Ck.error_to_string e)
@@ -325,6 +340,8 @@ let suite =
     Alcotest.test_case "empty stream and cost-vector errors" `Quick
       test_pool_empty_and_errors;
     Alcotest.test_case "pooled checkpoint/resume" `Quick test_pool_resumable;
+    Alcotest.test_case "resumable crash: domains × every × position" `Quick
+      test_resumable_crash_matrix;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_pool_equals_seq; prop_pool_crash_resume ]

@@ -131,6 +131,23 @@ let test_rejection_matrix () =
       | T.Malformed _ -> ()
       | e -> Alcotest.failf "wanted Malformed, got %s" (T.error_to_string e))
 
+(* A directory frame whose checksum is valid but whose track count
+   (2^40) no 16-byte payload can hold: the reader must name the lie
+   before sizing the track table from it. *)
+let test_crafted_track_count () =
+  let path = temp_log () in
+  let payload = Bytes.create 16 in
+  Bytes.set_int64_le payload 0 1L (* directory frame kind *);
+  Bytes.set_int64_le payload 8 (Int64.shift_left 1L 40);
+  let oc = open_out_bin path in
+  T.Framed.write_header oc ~magic:"MKCTEL1\n" ~version:1;
+  T.Framed.write_frame oc payload;
+  close_out oc;
+  (match read_err path with
+  | T.Malformed _ -> ()
+  | e -> Alcotest.failf "wanted Malformed, got %s" (T.error_to_string e));
+  Sys.remove path
+
 let test_torn_tail () =
   (* Cut the final frame short at several depths: mid-payload and
      mid-header.  Every cut keeps the intact prefix and names the
@@ -347,6 +364,7 @@ let suite =
     Alcotest.test_case "writer/reader round trip" `Quick test_round_trip;
     Alcotest.test_case "rejection matrix" `Quick test_rejection_matrix;
     Alcotest.test_case "torn tail keeps prefix" `Quick test_torn_tail;
+    Alcotest.test_case "crafted directory track count" `Quick test_crafted_track_count;
     Alcotest.test_case "writer validation" `Quick test_writer_validation;
     Alcotest.test_case "summarize quantile convention" `Quick test_summarize_quantiles;
     Alcotest.test_case "replay matches summary" `Quick test_replay_matches_summary;

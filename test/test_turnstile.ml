@@ -194,8 +194,12 @@ module Lin = struct
       type result = unit
 
       let feed = feed
-      let feed_batch = Sink.batch_by_feed feed
-      let feed_planned = Sink.batch_ignoring_plan feed_batch
+
+      let feed_planned t (_ : Mkc_stream.Chunk_plan.t) edges ~pos ~len =
+        for i = pos to pos + len - 1 do
+          feed t edges.(i)
+        done
+
       let finalize (_ : t) = ()
       let words = words
       let words_breakdown t = [ ("lin", words t) ]
@@ -359,13 +363,19 @@ let test_crash_resume_matches_seq_on_signed_stream () =
       let prefix = Array.sub churned 0 300 in
       let t1 = Lin.create 99 in
       (match
-         Pipe.run_resumable ~chunk:64 ~every:1 ~checkpoint:path (Lin.codec 99) Lin.sink t1
+         Pipe.run_resumable ~chunk:64 ~every:1 ~checkpoint:path (Lin.codec 99) t1
+           ~shards:(fun t -> [| Sink.pack Lin.sink t |])
+           ~finalize:ignore
            (Mkc_stream.Stream_source.of_array prefix)
        with
       | Ok () -> ()
       | Error e -> Alcotest.failf "checkpoint leg: %s" (Ck.error_to_string e));
       let t2 = Lin.create 99 in
-      match Pipe.run_resumable ~chunk:64 ~resume:path (Lin.codec 99) Lin.sink t2 src with
+      match
+        Pipe.run_resumable ~chunk:64 ~resume:path (Lin.codec 99) t2
+          ~shards:(fun t -> [| Sink.pack Lin.sink t |])
+          ~finalize:ignore src
+      with
       | Ok () -> checkb "resumed run matches seq bytes" true (String.equal (Lin.bytes t2) reference)
       | Error e -> Alcotest.failf "resume leg: %s" (Ck.error_to_string e))
 
@@ -401,6 +411,24 @@ let test_v2_edge_file_drives_the_signed_sink () =
       checkb "file drive nets out deletions" true
         (String.equal (Lin.bytes from_file) (Lin.bytes never)))
 
+(* Offline baselines score the net instance: building a set system
+   from a churned stream must give exactly the system of its live
+   suffix, and strictly fewer pairs than the churned stream names. *)
+let test_of_edges_nets_deletions () =
+  let module Ss = Mkc_stream.Set_system in
+  let rng = Sm.create 41 in
+  let base =
+    Array.init 600 (fun _ -> Edge.make ~set:(Sm.below rng 12) ~elt:(Sm.below rng 40))
+  in
+  let churned = Mkc_workload.Churn.apply ~frac:0.4 ~seed:42 base in
+  let live = Mkc_workload.Churn.live churned in
+  let of_edges es = Ss.of_edges ~n:40 ~m:12 (Array.to_list es) in
+  let a = of_edges churned and b = of_edges live and c = of_edges base in
+  for i = 0 to 11 do
+    checkb (Printf.sprintf "set %d: churned = live suffix" i) true (Ss.set a i = Ss.set b i)
+  done;
+  checkb "retractions removed covered pairs" true (Ss.total_size a < Ss.total_size c)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_feed_cancellation; prop_merge_cancellation; prop_interleaved_cancellation ]
@@ -423,4 +451,6 @@ let suite =
         test_signed_all_positive_equals_unsigned;
       Alcotest.test_case "v2 edge file drives the signed sink" `Quick
         test_v2_edge_file_drives_the_signed_sink;
+      Alcotest.test_case "of_edges nets deletions like Churn.live" `Quick
+        test_of_edges_nets_deletions;
     ]

@@ -119,7 +119,9 @@ let check_window_equals_fresh ~window ~epoch_edges ~drop_partial sys ~k ~alpha ~
   let r = W.finalize w in
   let live = live_suffix_len ~window ~epoch_edges ~total in
   let fresh = Est.create p in
-  Est.feed_batch fresh edges ~pos:(total - live) ~len:live;
+  let plan = Mkc_stream.Chunk_plan.create () in
+  Mkc_stream.Chunk_plan.build plan edges ~pos:(total - live) ~len:live;
+  Est.feed_planned fresh plan edges ~pos:(total - live) ~len:live;
   let f = Est.finalize fresh in
   checkb
     (Printf.sprintf "windowed %.2f = fresh-suffix %.2f" r.W.estimate f.Est.estimate)
@@ -167,10 +169,13 @@ let test_batched_drive_matches_per_edge () =
     (fun chunk ->
       let batched = W.create p ~window:3 ~epoch_edges:57 () in
       let total = Array.length edges in
+      let plan = Mkc_stream.Chunk_plan.create () in
       let pos = ref 0 in
       while !pos < total do
         let len = min chunk (total - !pos) in
-        W.feed_batch batched edges ~pos:!pos ~len;
+        (* chunks that straddle a roll exercise the per-piece plans *)
+        Mkc_stream.Chunk_plan.build plan edges ~pos:!pos ~len;
+        W.feed_planned batched plan edges ~pos:!pos ~len;
         pos := !pos + len
       done;
       let b = W.finalize batched in
