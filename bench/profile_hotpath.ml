@@ -125,7 +125,12 @@ let run_with ~label ~json_out ~n ~m ~k ~set_size ~alpha ~seed ~max_edges () =
   in
   (* Each subroutine fed its own reduced stream through [feed_planned],
      chunk by chunk: the plan is built over the reduced edges (inside
-     the timed row) and the identity table plays [red]. *)
+     the timed row) and the identity table plays [red].  Read each
+     "<name>" row against its "<name> planned" row below: both time the
+     same entry point, but this one pays a plan per instance and
+     chunk, while the planned rows share one plan across instances and
+     charge it to "plan build" and the reduction to "reduction
+     planned".  The gap is what plan sharing saves. *)
   let chunk = 8192 in
   let nchunks = (nedges + chunk - 1) / chunk in
   let bounds ci =

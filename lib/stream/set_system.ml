@@ -33,20 +33,16 @@ let create ~n ~m ~sets =
   { n; m; sets }
 
 (* Turnstile-aware: a pair belongs to its set iff its signed count is
-   positive, so a retracted pair is not covered.  An insertion-only
-   stream has nothing to net and is bucketed as it stands. *)
+   positive, so a retracted pair is not covered. *)
 let of_edges ~n ~m edges =
   let buckets = Array.make m [] in
   List.iter
     (fun (e : Edge.t) ->
       if e.set < 0 || e.set >= m then invalid_arg "Set_system.of_edges: set out of range")
     edges;
-  let live =
-    if List.exists (fun (e : Edge.t) -> e.sign < 0) edges then
-      List.map fst (Edge.net (Array.of_list edges))
-    else edges
-  in
-  List.iter (fun (e : Edge.t) -> buckets.(e.set) <- e.elt :: buckets.(e.set)) live;
+  List.iter
+    (fun ((e : Edge.t), _) -> buckets.(e.set) <- e.elt :: buckets.(e.set))
+    (Edge.net (Array.of_list edges));
   create ~n ~m ~sets:(Array.map Array.of_list buckets)
 
 let n t = t.n

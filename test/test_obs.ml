@@ -8,8 +8,8 @@
      3. wrapping a sink in Sink.Observed changes nothing about the
         computation — same result, same words, same breakdown — and the
         profile's final point equals words_breakdown exactly;
-     4. run_parallel and sequential ingestion agree metric-for-metric
-        on the invariant counters;
+     4. pooled (feed_all_parallel) and sequential ingestion agree
+        metric-for-metric on the invariant counters;
      5. the mkc-obs/4 JSON snapshot is byte-stable under an injected
         clock and survives a parse→validate round trip, while tampered
         snapshots are rejected; legacy mkc-obs/1 through mkc-obs/3

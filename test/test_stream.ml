@@ -21,6 +21,17 @@ let test_edge_make_and_compare () =
     (Invalid_argument "Edge.make: ids must be non-negative") (fun () ->
       ignore (Edge.make ~set:(-1) ~elt:0))
 
+(* The net multiset keeps first-occurrence order whatever the pair
+   order, counts multiplicities, and drops pairs netting to <= 0. *)
+let test_edge_net () =
+  let ins set elt = Edge.make ~set ~elt and del set elt = Edge.signed ~sign:(-1) ~set ~elt in
+  let stream =
+    [| ins 5 1; ins 0 9; del 3 3; ins 5 1; ins 2 2; del 0 9; ins 3 3; ins 0 9; ins 0 9; del 5 1 |]
+  in
+  let got = List.map (fun ((e : Edge.t), c) -> (e.set, e.elt, e.sign, c)) (Edge.net stream) in
+  checkb "pairs, counts, order" true (got = [ (5, 1, 1, 1); (0, 9, 1, 2); (2, 2, 1, 1) ]);
+  checkb "empty stream" true (Edge.net [||] = [])
+
 let test_system_dedup () =
   let s = Ss.create ~n:4 ~m:1 ~sets:[| [| 1; 1; 3; 3; 3; 0 |] |] in
   checki "duplicates removed" 3 (Ss.set_size s 0);
@@ -503,6 +514,7 @@ let suite =
     Alcotest.test_case "chunks: resume grid via start" `Quick test_chunks_start;
     Alcotest.test_case "partition: ordered, balanced, lossless" `Quick test_partition;
     Alcotest.test_case "edge make/compare" `Quick test_edge_make_and_compare;
+    Alcotest.test_case "edge net: counts and first-occurrence order" `Quick test_edge_net;
     Alcotest.test_case "system dedup" `Quick test_system_dedup;
     Alcotest.test_case "system validation" `Quick test_system_validation;
     Alcotest.test_case "coverage" `Quick test_coverage;
